@@ -11,10 +11,11 @@
 use sparker_bench::{fmt_secs, print_header, Table};
 use sparker_engine::cluster::LocalCluster;
 use sparker_engine::config::ClusterSpec;
-use sparker_engine::ops::split_aggregate::{RsAlgorithm, SplitAggOpts};
+use sparker_engine::ops::split_aggregate::{SelectorOpts, SplitAggOpts};
 use sparker_net::codec::F64Array;
+use sparker_tuner::Algo;
 
-fn run(nodes: usize, elems: usize, algorithm: RsAlgorithm) -> f64 {
+fn run(nodes: usize, elems: usize, algo: Algo) -> f64 {
     const SCALE: f64 = 16.0;
     let cluster = LocalCluster::new(ClusterSpec::bic(nodes, SCALE).with_shape(2, 2));
     let partitions = 2 * cluster.num_executors();
@@ -35,7 +36,11 @@ fn run(nodes: usize, elems: usize, algorithm: RsAlgorithm) -> f64 {
         sparker::dense::split,
         sparker::dense::merge_segments,
         sparker::dense::concat,
-        SplitAggOpts { parallelism: Some(4), algorithm, ..Default::default() },
+        SplitAggOpts {
+            parallelism: Some(4),
+            selector: SelectorOpts::Forced(algo),
+            ..Default::default()
+        },
     )
     .unwrap()
     .1
@@ -56,8 +61,8 @@ fn main() {
     {
         for nodes in [2usize, 4] {
             let elems = (paper_bytes / 16.0 / 8.0) as usize;
-            let ring = run(nodes, elems, RsAlgorithm::Ring);
-            let halving = run(nodes, elems, RsAlgorithm::Halving);
+            let ring = run(nodes, elems, Algo::FlatRing);
+            let halving = run(nodes, elems, Algo::Halving);
             t.row(vec![
                 label.to_string(),
                 nodes.to_string(),

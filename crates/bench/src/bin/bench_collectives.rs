@@ -28,12 +28,11 @@
 use std::time::Instant;
 
 use sparker_bench::{fmt_secs, print_header, Table};
-use sparker_collectives::hierarchical::{
-    hierarchical_reduce_scatter_chunked_by, hierarchical_segment_count, node_topology_of,
-};
+use sparker_collectives::hierarchical::{hierarchical_reduce_scatter_chunked_by, node_topology_of};
 use sparker_collectives::ring::ring_reduce_scatter_chunked;
 use sparker_collectives::segment::{Segment, U64SumSegment};
 use sparker_collectives::testing::{run_ring_cluster, RingClusterSpec};
+use sparker_engine::reduction::segment_count;
 use sparker_net::topology::{round_robin_layout, RingOrder, RingTopology};
 use sparker_sim::{ground_truth_margin, model_for, simulate_algo, SimCluster};
 use sparker_tuner::{calibrate_from_spans, Algo, CostModel, JobShape, Selector};
@@ -111,7 +110,7 @@ fn run_ladder(
                 best,
                 best_secs,
                 flat_secs: of(Algo::FlatRing),
-                hier_secs: of(Algo::Hierarchical),
+                hier_secs: of(Algo::Hierarchical(1)),
             });
         }
     }
@@ -194,8 +193,8 @@ fn main() {
     sparker_obs::trace::enable();
     sparker_obs::trace::clear();
     for seed_elems in [64usize, 1024, 8 * 1024] {
-        let total = p * n;
         run_ring_cluster(&spec, move |comm| {
+            let total = segment_count(Algo::FlatRing, comm.ring());
             let segs = seed_segments(comm.rank(), total, seed_elems);
             ring_reduce_scatter_chunked(&comm, segs, 1).unwrap()
         });
@@ -236,7 +235,7 @@ fn main() {
     // 4. Run the hierarchical path on the real cluster, bit-exact.
     let t0 = Instant::now();
     let per_rank = run_ring_cluster(&spec, move |comm| {
-        let total = hierarchical_segment_count(comm.ring(), chunks);
+        let total = segment_count(Algo::Hierarchical(chunks as u8), comm.ring());
         let segs = seed_segments(comm.rank(), total, elems);
         hierarchical_reduce_scatter_chunked_by(
             &comm,

@@ -28,7 +28,9 @@ use sparker_collectives::ring::ring_reduce_scatter_chunked;
 use sparker_collectives::segment::U64SumSegment;
 use sparker_collectives::testing::{run_ring_cluster, RingClusterSpec};
 use sparker_engine::objects::{MutableObjectManager, ObjectId};
+use sparker_engine::reduction::segment_count;
 use sparker_net::pool;
+use sparker_tuner::Algo;
 
 /// One measured reduce-scatter pass: every rank seeds `P·N·C` integer
 /// segments of `elems` elements and reduces; returns each rank's owned
@@ -39,12 +41,12 @@ fn run_rs(
     elems: usize,
     rounds: usize,
 ) -> (Vec<(usize, Vec<u64>)>, f64) {
-    let n = spec.total_executors();
-    let total = spec.parallelism * n * chunks;
+    let algo = Algo::ChunkedRing(chunks as u8);
     let t0 = Instant::now();
     let mut out: Vec<(usize, Vec<u64>)> = Vec::new();
     for round in 0..rounds {
         let per_rank = run_ring_cluster(spec, move |comm| {
+            let total = segment_count(algo, comm.ring());
             let segs: Vec<U64SumSegment> = (0..total)
                 .map(|g| {
                     U64SumSegment(vec![

@@ -43,11 +43,12 @@ use std::time::{Duration, Instant};
 
 use sparker_bench::print_header;
 use sparker_engine::multiproc::{
-    oracle, run_executor_with, JobOutcome, JobSpec, MultiProcDriver, ALGO_HIER, KILLED_EXIT_CODE,
+    oracle, run_executor_with, JobOutcome, JobSpec, MultiProcDriver, KILLED_EXIT_CODE,
 };
 use sparker_net::tcp::rendezvous::Coordinator;
 use sparker_net::tcp::TcpConfig;
 use sparker_obs::metrics::{self, MetricValue};
+use sparker_tuner::Algo;
 use sparker_sched::{Fifo, JobRequest, MultiProcBackend, SchedConfig, SchedError, Scheduler};
 
 const CHANNELS: usize = 2;
@@ -491,7 +492,7 @@ fn run_smoke(
     println!("  re-admitted replacement executor at rank {readmitted}");
     let hier = |id: u64| {
         let mut s = base(id);
-        s.algo = ALGO_HIER;
+        s.algo = Algo::Hierarchical(2);
         s.nodes = 2;
         s
     };

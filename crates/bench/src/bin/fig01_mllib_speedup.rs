@@ -4,10 +4,10 @@
 //! Paper: all workloads fall far from the perfect speedup of 8; best is
 //! LDA-N at 2.49x, worst LR-K at 0.73x, average 1.25x.
 
-use sparker_bench::{geo_mean, print_header, Table};
+use sparker_bench::{print_header, Table};
 use sparker_sim::aggsim::Strategy;
 use sparker_sim::cluster::SimCluster;
-use sparker_sim::mlrun::simulate_training;
+use sparker_sim::mlrun::{geo_mean, simulate_training};
 use sparker_sim::workloads::all_workloads;
 
 fn main() {

@@ -4,10 +4,10 @@
 //! Paper: tree aggregation occupies a geometric mean of ~67% of end-to-end
 //! time, making it the hot-spot the rest of the paper attacks.
 
-use sparker_bench::{geo_mean, print_header, Table};
+use sparker_bench::{print_header, Table};
 use sparker_sim::aggsim::Strategy;
 use sparker_sim::cluster::SimCluster;
-use sparker_sim::mlrun::simulate_training;
+use sparker_sim::mlrun::{geo_mean, simulate_training};
 use sparker_sim::workloads::all_workloads;
 
 fn main() {

@@ -5,10 +5,10 @@
 //! 2.62× (BIC) and 3.69× (AWS); LDA-N/LR-K/SVM-K/SVM-K12 all above 2× on
 //! AWS because their aggregators are large.
 
-use sparker_bench::{geo_mean, print_header, Table};
+use sparker_bench::{print_header, Table};
 use sparker_sim::aggsim::Strategy;
 use sparker_sim::cluster::SimCluster;
-use sparker_sim::mlrun::simulate_training;
+use sparker_sim::mlrun::{geo_mean, simulate_training};
 use sparker_sim::workloads::all_workloads;
 
 fn main() {

@@ -7,11 +7,10 @@
 //! real shaped transports and take minutes; run their binaries directly.)
 
 
-use sparker_bench::geo_mean;
 use sparker_net::profile::TransportKind;
 use sparker_sim::aggsim::{simulate_aggregation, simulate_reduce_scatter, Strategy};
 use sparker_sim::cluster::SimCluster;
-use sparker_sim::mlrun::simulate_training;
+use sparker_sim::mlrun::{geo_mean, simulate_training};
 use sparker_sim::p2p::latency;
 use sparker_sim::workloads::{all_workloads, by_name};
 

@@ -165,12 +165,6 @@ pub fn fmt_bytes(b: f64) -> String {
     }
 }
 
-/// Geometric mean (duplicated from sparker-sim for bin convenience).
-pub fn geo_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty());
-    (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,11 +195,6 @@ mod tests {
         assert_eq!(fmt_bytes(1024.0), "1KB");
         assert_eq!(fmt_bytes(8.0 * 1024.0 * 1024.0), "8MB");
         assert_eq!(fmt_bytes(100.0), "100B");
-    }
-
-    #[test]
-    fn geo_mean_matches_hand_calc() {
-        assert!((geo_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
     }
 
     #[test]

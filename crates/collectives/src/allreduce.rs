@@ -11,7 +11,7 @@
 use sparker_net::error::{NetError, NetResult};
 
 use crate::comm::RingComm;
-use crate::ring::OwnedSegment;
+use crate::ring::{join_worker, OwnedSegment};
 use crate::segment::Segment;
 
 /// Ring allgather over one channel: every rank starts holding the global
@@ -100,7 +100,7 @@ where
             handles.push(scope.spawn(move || ring_allgather_pass(&comm, t, segment, n)));
         }
         for h in handles {
-            per_channel.push(h.join().expect("allgather worker panicked"));
+            per_channel.push(join_worker(h, "allgather"));
         }
     });
 

@@ -44,19 +44,13 @@ use sparker_net::topology::{ExecutorInfo, NodeTopology, RingOrder, RingTopology}
 
 use crate::allreduce::ring_allgather_pass;
 use crate::comm::RingComm;
-use crate::ring::{ring_reduce_scatter_chunked_by, OwnedSegment};
+use crate::ring::{join_worker, ring_reduce_scatter_chunked_by, OwnedSegment};
 use crate::segment::Segment;
 
 /// Node grouping of a ring's members, by hostname locality key.
 pub fn node_topology_of(ring: &RingTopology) -> NodeTopology {
     let infos: Vec<ExecutorInfo> = ring.iter().cloned().collect();
     NodeTopology::group(&infos)
-}
-
-/// Number of segments every rank must pass to the hierarchical paths:
-/// `P·L·C`, where `L` is the number of node groups (= leaders).
-pub fn hierarchical_segment_count(ring: &RingTopology, chunks: usize) -> usize {
-    ring.parallelism() * node_topology_of(ring).num_nodes() * chunks
 }
 
 /// Hierarchical reduce-scatter with [`Segment::merge_from`], `C = 1`.
@@ -74,8 +68,9 @@ pub fn hierarchical_reduce_scatter<S: Segment>(
 
 /// Hierarchical reduce-scatter: intra-node fold to the elected leader,
 /// then the chunk-pipelined leader ring. `segments` must hold exactly
-/// [`hierarchical_segment_count`] entries on **every** rank (both sides of
-/// a mismatch error out before any communication). Leaders return their
+/// `P·L·C` entries on **every** rank, `L` the number of node groups of
+/// [`node_topology_of`] (both sides of a mismatch error out before any
+/// communication). Leaders return their
 /// `P·C` owned chunks with global indices in `0..P·L·C`, sorted;
 /// non-leaders return an empty set.
 pub fn hierarchical_reduce_scatter_chunked_by<V, F>(
@@ -149,7 +144,7 @@ where
                     handles.push(scope.spawn(move || recv_bcast(&comm, t, leader_rank, lc)));
                 }
                 for h in handles {
-                    per_channel.push(h.join().expect("hier bcast worker panicked"));
+                    per_channel.push(join_worker(h, "hier bcast"));
                 }
             });
             let mut out = Vec::with_capacity(p * lc);
@@ -221,7 +216,7 @@ where
                 handles.push(scope.spawn(move || send_fold(&comm, t, leader_rank, slots)));
             }
             for h in handles {
-                results.push(h.join().expect("hier fold worker panicked"));
+                results.push(join_worker(h, "hier fold"));
             }
         });
         results.into_iter().collect::<NetResult<Vec<_>>>()?;
@@ -237,7 +232,7 @@ where
             handles.push(scope.spawn(move || recv_fold(&comm, t, members, slots, merge)));
         }
         for h in handles {
-            results.push(h.join().expect("hier fold worker panicked"));
+            results.push(join_worker(h, "hier fold"));
         }
     });
     results.into_iter().collect::<NetResult<Vec<_>>>()?;
@@ -378,7 +373,7 @@ fn bcast_phase<V: Payload>(
             }));
         }
         for h in handles {
-            results.push(h.join().expect("hier bcast worker panicked"));
+            results.push(join_worker(h, "hier bcast"));
         }
     });
     results.into_iter().collect::<NetResult<Vec<_>>>()?;
@@ -447,7 +442,7 @@ where
             }));
         }
         for h in handles {
-            per_channel.push(h.join().expect("hier allgather worker panicked"));
+            per_channel.push(join_worker(h, "hier allgather"));
         }
     });
 
@@ -616,11 +611,22 @@ mod tests {
     }
 
     #[test]
-    fn hier_segment_count_helper_matches() {
-        let spec = RingClusterSpec::unshaped(3, 2, 2);
-        let counts = run_ring_cluster(&spec, |comm| {
-            hierarchical_segment_count(comm.ring(), 4)
+    fn panicking_fold_merge_is_a_typed_error() {
+        // One node of two executors: the member's segment reaches the
+        // leader's fold, whose merge panics. The leader must fail typed;
+        // the member, whose part ended with the send, owns nothing.
+        let spec = RingClusterSpec::unshaped(1, 2, 1);
+        let per_rank = run_ring_cluster(&spec, |comm| {
+            hierarchical_reduce_scatter_chunked_by(
+                &comm,
+                seed(comm.rank(), 1, 1),
+                &|_: &mut U64SumSegment, _| panic!("bad shape"),
+                1,
+            )
+            .map(|owned| owned.len())
         });
-        assert!(counts.iter().all(|&c| c == 2 * 3 * 4));
+        let typed = per_rank.iter().filter(|r| matches!(r, Err(NetError::Codec(_)))).count();
+        let member = per_rank.iter().filter(|r| matches!(r, Ok(0))).count();
+        assert_eq!((typed, member), (1, 1), "{per_rank:?}");
     }
 }

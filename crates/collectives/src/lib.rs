@@ -47,7 +47,7 @@ pub mod tree;
 pub use comm::RingComm;
 pub use hierarchical::{
     hierarchical_allreduce, hierarchical_allreduce_chunked_by, hierarchical_reduce_scatter,
-    hierarchical_reduce_scatter_chunked_by, hierarchical_segment_count, node_topology_of,
+    hierarchical_reduce_scatter_chunked_by, node_topology_of,
 };
 pub use composite::{CompositeAgg, CompositeLayout};
 pub use ring::{

@@ -34,6 +34,16 @@ use sparker_net::pool;
 use crate::comm::RingComm;
 use crate::segment::Segment;
 
+/// Joins one per-channel worker. A worker that panicked (say, a merge
+/// asserting on a segment of the wrong shape after a lost frame) fails this
+/// rank's collective with a typed error instead of unwinding the caller.
+pub(crate) fn join_worker<T>(
+    h: std::thread::ScopedJoinHandle<'_, NetResult<T>>,
+    what: &str,
+) -> NetResult<T> {
+    h.join().unwrap_or_else(|_| Err(NetError::Codec(format!("{what} worker panicked"))))
+}
+
 /// A fully-reduced segment owned by this rank after reduce-scatter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OwnedSegment<S> {
@@ -141,7 +151,7 @@ where
             handles.push(scope.spawn(move || ring_pass(&comm, t, slots, merge, chunks)));
         }
         for h in handles {
-            results.push(h.join().expect("ring worker panicked"));
+            results.push(join_worker(h, "ring"));
         }
     });
     results.into_iter().collect::<NetResult<Vec<_>>>()?;
@@ -300,6 +310,17 @@ mod tests {
                 assert_eq!(o.segment.0[0], want);
             }
         }
+    }
+
+    #[test]
+    fn panicking_merge_is_a_typed_error() {
+        let spec = RingClusterSpec::unshaped(1, 2, 1);
+        let per_rank = run_ring_cluster(&spec, |comm| {
+            let segs = vec![U64SumSegment(vec![1]), U64SumSegment(vec![2])];
+            ring_reduce_scatter_by(&comm, segs, &|_: &mut U64SumSegment, _| panic!("bad shape"))
+                .is_err_and(|e| matches!(e, NetError::Codec(_)))
+        });
+        assert!(per_rank.into_iter().all(|typed| typed));
     }
 
     #[test]

@@ -28,6 +28,9 @@
 //!   scheduled stage (the paper's `SpawnRDD`) runs ring reduce-scatter over
 //!   the parallel directed ring via the scalable communicator, and the
 //!   driver concatenates the gathered segments with the user's `concatOp`.
+//! * **The reduction plan** ([`reduction`]) — `sparker_tuner::Algo` alone
+//!   picks the reduce-scatter and its segment count, for split
+//!   aggregation in process and for [`multiproc`] over TCP.
 //!
 //! The user-facing API mirrors the paper's Figure 6 and lives in the
 //! `sparker` facade crate; this crate is the machinery.
@@ -45,6 +48,7 @@ pub mod objects;
 pub mod ops;
 pub mod rdd;
 pub mod rdds;
+pub mod reduction;
 pub mod task;
 
 pub use broadcast::Broadcast;

@@ -11,8 +11,10 @@
 //!   full [`JobSpec`]; executors answer [`ExecMsg::JobOk`] (their owned,
 //!   fully-reduced segments) or [`ExecMsg::JobErr`].
 //! * **data plane** — the [`sparker_net::tcp::TcpTransport`] peer mesh,
-//!   where the chunk-pipelined ring reduce-scatter runs, epoch-fenced
-//!   exactly as in-process ([`sparker_collectives::RingComm`]).
+//!   where the reduce-scatter [`JobSpec::algo`] names runs, epoch-fenced
+//!   exactly as in-process ([`sparker_collectives::RingComm`]). Segment
+//!   count, layout and collective come from [`crate::reduction`], the same
+//!   plan `ops::split_aggregate` runs in process.
 //!
 //! # Recovery semantics (DESIGN.md §5h)
 //!
@@ -52,8 +54,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use sparker_collectives::hierarchical::hierarchical_reduce_scatter_chunked_by;
-use sparker_collectives::ring::{ring_reduce_scatter_chunked_by, OwnedSegment};
+use sparker_collectives::segment::slice_bounds;
 use sparker_collectives::RingComm;
 use sparker_net::codec::{Decoder, Encoder, F64Array, Payload};
 use sparker_net::error::{NetError, NetResult};
@@ -64,7 +65,9 @@ use sparker_net::transport::Transport;
 use sparker_net::{pool, ByteBuf};
 use sparker_obs::metrics::{self, Counter, MetricValue};
 use sparker_sparse::DenseOrSparse;
+use sparker_tuner::Algo;
 
+use crate::reduction::{reduce_scatter_by, segment_count};
 use crate::task::{EngineError, EngineResult};
 
 /// Exit code of an executor killed by `die_rank` fault injection, so the
@@ -73,12 +76,6 @@ pub const KILLED_EXIT_CODE: i32 = 13;
 
 /// Sentinel for "no rank" in the fault-injection fields.
 pub const NO_RANK: u32 = u32::MAX;
-
-/// [`JobSpec::algo`]: flat/chunked ring reduce-scatter (the default).
-pub const ALGO_RING: u8 = 0;
-/// [`JobSpec::algo`]: two-level hierarchical reduce-scatter — intra-node
-/// fold to node leaders, chunked ring over the leaders-only sub-ring.
-pub const ALGO_HIER: u8 = 1;
 
 fn counter_cached(cell: &'static OnceLock<Arc<Counter>>, name: &'static str) -> &'static Arc<Counter> {
     cell.get_or_init(|| metrics::counter(name))
@@ -169,14 +166,12 @@ pub struct JobSpec {
     pub total_parts: usize,
     /// Ring channels (the paper's parallelism `P`).
     pub parallelism: usize,
-    /// Pipeline chunks per ring slot (`C`).
-    pub chunks: usize,
-    /// Reduction algorithm: [`ALGO_RING`] (flat/chunked ring, the default)
-    /// or [`ALGO_HIER`] (two-level hierarchical reduce-scatter).
-    pub algo: u8,
-    /// Emulated node count for [`ALGO_HIER`]: members are blocked into this
-    /// many host groups by ring position (deterministic across view
-    /// changes). 0 keeps the legacy layout where every rank is its own node.
+    /// The reduce-scatter, with its pipeline chunk count. [`Algo::Tree`] is
+    /// not a reduce-scatter and is rejected before any frame is sent.
+    pub algo: Algo,
+    /// Emulated node count for [`Algo::Hierarchical`]: members are blocked
+    /// into this many host groups by ring position (deterministic across
+    /// view changes). 0 keeps the layout where every rank is its own node.
     pub nodes: usize,
     /// Gang attempt — the `attempt` half of the epoch fence.
     pub attempt: u32,
@@ -219,8 +214,7 @@ impl JobSpec {
             density: 1.0,
             total_parts,
             parallelism: 2,
-            chunks: 2,
-            algo: ALGO_RING,
+            algo: Algo::ChunkedRing(2),
             nodes: 0,
             attempt: 0,
             epoch_ns: 0,
@@ -253,8 +247,7 @@ impl Payload for JobSpec {
         enc.put_f64(self.density);
         enc.put_usize(self.total_parts);
         enc.put_usize(self.parallelism);
-        enc.put_usize(self.chunks);
-        enc.put_u8(self.algo);
+        put_algo(enc, self.algo);
         enc.put_usize(self.nodes);
         enc.put_u32(self.attempt);
         enc.put_u32(self.epoch_ns);
@@ -279,8 +272,7 @@ impl Payload for JobSpec {
         let density = dec.get_f64()?;
         let total_parts = dec.get_usize()?;
         let parallelism = dec.get_usize()?;
-        let chunks = dec.get_usize()?;
-        let algo = dec.get_u8()?;
+        let algo = get_algo(dec)?;
         let nodes = dec.get_usize()?;
         let attempt = dec.get_u32()?;
         let epoch_ns = dec.get_u32()?;
@@ -304,7 +296,6 @@ impl Payload for JobSpec {
             density,
             total_parts,
             parallelism,
-            chunks,
             algo,
             nodes,
             attempt,
@@ -320,8 +311,39 @@ impl Payload for JobSpec {
     }
 
     fn size_hint(&self) -> usize {
-        106 + self.view.size_hint() + 8 + self.assigned.iter().map(|p| 8 + 8 * p.len()).sum::<usize>()
+        99 + self.view.size_hint() + 8 + self.assigned.iter().map(|p| 8 + 8 * p.len()).sum::<usize>()
     }
+}
+
+/// Wire form of an [`Algo`]: a tag byte, then the chunk count as a byte
+/// (1 for the algorithms that do not pipeline).
+fn put_algo(enc: &mut Encoder, algo: Algo) {
+    let tag = match algo {
+        Algo::FlatRing => 0,
+        Algo::ChunkedRing(_) => 1,
+        Algo::Halving => 2,
+        Algo::Tree => 3,
+        Algo::Hierarchical(_) => 4,
+    };
+    enc.put_u8(tag);
+    enc.put_u8(algo.chunks() as u8);
+}
+
+fn get_algo(dec: &mut Decoder) -> NetResult<Algo> {
+    let tag = dec.get_u8()?;
+    let chunks = dec.get_u8()?;
+    let algo = match tag {
+        0 => Algo::FlatRing,
+        1 => Algo::ChunkedRing(chunks),
+        2 => Algo::Halving,
+        3 => Algo::Tree,
+        4 => Algo::Hierarchical(chunks),
+        _ => return Err(NetError::Codec(format!("invalid reduction algorithm tag {tag}"))),
+    };
+    if chunks == 0 || algo.chunks() != chunks as usize {
+        return Err(NetError::Codec(format!("invalid chunk count {chunks} for {algo:?}")));
+    }
+    Ok(algo)
 }
 
 /// Driver → executor control messages.
@@ -620,23 +642,6 @@ fn local_aggregate(spec: &JobSpec, parts: &[u64]) -> Vec<f64> {
     agg
 }
 
-/// Splits `agg` into `count` contiguous segments of ceil(dim/count) (the
-/// tail may be shorter or empty). Same layout on every rank and the driver.
-fn split_segments(agg: &[f64], count: usize) -> Vec<Vec<f64>> {
-    let seg_len = segment_len(agg.len(), count);
-    (0..count)
-        .map(|i| {
-            let lo = (i * seg_len).min(agg.len());
-            let hi = ((i + 1) * seg_len).min(agg.len());
-            agg[lo..hi].to_vec()
-        })
-        .collect()
-}
-
-fn segment_len(dim: usize, count: usize) -> usize {
-    dim.div_ceil(count.max(1))
-}
-
 /// Ring infos over `members` (absolute ranks ascending). ExecutorIds are the
 /// absolute ranks, so transport addressing is unchanged while ring positions
 /// compact to `0..members.len()`.
@@ -668,17 +673,11 @@ fn member_infos(members: &[u32], nodes: usize) -> Vec<ExecutorInfo> {
         .collect()
 }
 
-/// Segments the reduce-scatter leaves distributed over a `ring_size`-member
-/// ring under `spec`'s algorithm: `P·N·C` for the ring family, `P·L·C` for
-/// the hierarchical path (only node leaders own segments). The driver's
-/// reassembly and every executor must agree on this number.
-fn job_segment_count(spec: &JobSpec, ring_size: usize) -> usize {
-    let groups = if spec.algo == ALGO_HIER && spec.nodes > 0 {
-        spec.nodes.min(ring_size)
-    } else {
-        ring_size
-    };
-    spec.parallelism * groups * spec.chunks
+/// The ring `spec` runs over `members` — built identically by every
+/// executor and by the driver's reassembly, so all agree on the segment
+/// count. `spec.parallelism` must be non-zero.
+fn job_ring(members: &[u32], spec: &JobSpec) -> RingTopology {
+    RingTopology::new(member_infos(members, spec.nodes), RingOrder::ById, spec.parallelism)
 }
 
 // ---------------------------------------------------------------------------
@@ -798,24 +797,6 @@ fn job_err(joined: &Joined, spec: &JobSpec, error: String) -> ExecMsg {
     }
 }
 
-/// Runs the reduce-scatter `spec.algo` names over an already-split segment
-/// vector; both the dense and sparse arms of [`run_job`] go through here.
-fn reduce_scatter_owned<V, F>(
-    comm: &RingComm,
-    segments: Vec<V>,
-    merge: &F,
-    spec: &JobSpec,
-) -> NetResult<Vec<OwnedSegment<V>>>
-where
-    V: Payload,
-    F: Fn(&mut V, V) + Sync,
-{
-    match spec.algo {
-        ALGO_HIER => hierarchical_reduce_scatter_chunked_by(comm, segments, merge, spec.chunks),
-        _ => ring_reduce_scatter_chunked_by(comm, segments, merge, spec.chunks),
-    }
-}
-
 fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
     let rank = joined.rank;
     let n = joined.n;
@@ -832,7 +813,7 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
             format!("rank {rank} is not in view {} {:?}", spec.view.generation, members),
         );
     };
-    if spec.assigned.len() != n || spec.parallelism > joined.channels {
+    if spec.assigned.len() != n || spec.parallelism == 0 || spec.parallelism > joined.channels {
         return job_err(
             joined,
             spec,
@@ -864,18 +845,12 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
             return job_err(joined, spec, format!("view member {m} is down: {detail}"));
         }
     }
-    if spec.algo > ALGO_HIER {
-        return job_err(joined, spec, format!("unknown reduction algorithm {}", spec.algo));
-    }
     let agg = local_aggregate(spec, &spec.assigned[rank]);
 
-    let ring = Arc::new(RingTopology::new(
-        member_infos(&members, spec.nodes),
-        RingOrder::ById,
-        spec.parallelism,
-    ));
+    let ring = job_ring(&members, spec);
+    let seg_count = segment_count(spec.algo, &ring);
     let net: Arc<dyn Transport> = joined.transport.clone();
-    let comm = RingComm::new(net, ring, position)
+    let comm = RingComm::new(net, Arc::new(ring), position)
         .with_epoch(spec.id, sparker_net::epoch::namespaced(spec.epoch_ns, spec.attempt))
         .with_recv_deadline(Duration::from_millis(spec.recv_deadline_ms));
 
@@ -902,29 +877,31 @@ fn run_job(joined: &Joined, spec: &JobSpec) -> ExecMsg {
         let _ = joined.transport.kill_connection(spec.drop_peer as usize);
     }
 
-    let seg_count = job_segment_count(spec, members.len());
+    let pieces = (0..seg_count).map(|i| {
+        let (lo, hi) = slice_bounds(agg.len(), i, seg_count);
+        agg[lo..hi].to_vec()
+    });
     let result: NetResult<Vec<(u64, ByteBuf)>> = if spec.sparse {
-        let segs: Vec<DenseOrSparse> = split_segments(&agg, seg_count)
-            .into_iter()
-            .map(|v| DenseOrSparse::from_dense(v, spec.threshold))
-            .collect();
-        reduce_scatter_owned(&comm, segs, &|a: &mut DenseOrSparse, b: DenseOrSparse| a.merge(&b), spec)
-            .map(|owned| {
-                owned.into_iter().map(|o| (o.index as u64, o.segment.to_frame())).collect()
-            })
+        let segs: Vec<DenseOrSparse> =
+            pieces.map(|v| DenseOrSparse::from_dense(v, spec.threshold)).collect();
+        let merge = |a: &mut DenseOrSparse, b: DenseOrSparse| a.merge(&b);
+        reduce_scatter_by(&comm, segs, &merge, spec.algo).map(|owned| {
+            owned.into_iter().map(|o| (o.index as u64, o.segment.to_frame())).collect()
+        })
     } else {
-        let segs: Vec<F64Array> =
-            split_segments(&agg, seg_count).into_iter().map(F64Array).collect();
-        reduce_scatter_owned(
+        let segs: Vec<F64Array> = pieces.map(F64Array).collect();
+        reduce_scatter_by(
             &comm,
             segs,
             &|a: &mut F64Array, b: F64Array| {
-                debug_assert_eq!(a.0.len(), b.0.len());
+                // Segments come off the wire; a length mismatch panics here
+                // and the collective turns it into a typed error.
+                assert_eq!(a.0.len(), b.0.len(), "dense segment length mismatch");
                 for (x, y) in a.0.iter_mut().zip(b.0) {
                     *x += y;
                 }
             },
-            spec,
+            spec.algo,
         )
         .map(|owned| {
             owned.into_iter().map(|o| (o.index as u64, o.segment.to_frame())).collect()
@@ -1056,8 +1033,15 @@ impl MultiProcDriver {
     /// Runs one job to completion: gang attempts over the ring (re-formed
     /// over survivors whenever the membership view changes), then the tree
     /// fallback as last resort. `Err` only when no exact result can be
-    /// produced at all.
+    /// produced at all, or — before any frame is sent — when `base` asks for
+    /// [`Algo::Tree`], zero pipeline chunks or zero ring channels.
     pub fn run_job(&mut self, base: &JobSpec) -> EngineResult<JobOutcome> {
+        if base.algo == Algo::Tree || base.algo.chunks() == 0 || base.parallelism == 0 {
+            return Err(EngineError::Invalid(format!(
+                "multiproc job {} needs a reduce-scatter over P >= 1 channels, got {:?} with P = {}",
+                base.id, base.algo, base.parallelism
+            )));
+        }
         let n_total = self.size();
         let mut attempts = 0;
         let mut last_err = String::new();
@@ -1103,14 +1087,13 @@ impl MultiProcDriver {
             }
             self.last_ring_error = failures.join("; ");
             if oks.len() == gang.len() {
+                let seg_count = segment_count(base.algo, &job_ring(&spec.view.members, base));
                 let (value, wire_segments, result_bytes) =
-                    assemble(base, gang.len(), oks).map_err(|reason| {
-                        EngineError::TaskFailed {
-                            stage: job_stage(base.id, self.view.generation),
-                            task: gang[0],
-                            attempts,
-                            reason,
-                        }
+                    assemble(base, seg_count, oks).map_err(|e| EngineError::TaskFailed {
+                        stage: job_stage(base.id, self.view.generation),
+                        task: gang[0],
+                        attempts,
+                        reason: e.to_string(),
                     })?;
                 return Ok(JobOutcome {
                     value,
@@ -1286,16 +1269,15 @@ fn assign_parts(total_parts: usize, ranks: &[usize], n_total: usize) -> Vec<Vec<
     assigned
 }
 
-/// Reassembles gathered segments into the full vector, checking that every
-/// global index arrived exactly once. `ring_size` is the member count of the
-/// view the job ran under (segment layout depends on it).
+/// Reassembles gathered segments into the full vector. Every global index
+/// in `0..seg_count` must arrive exactly once, with exactly the length of
+/// its [`slice_bounds`] slice of `spec.dim`; anything else is a
+/// [`NetError::Codec`].
 fn assemble(
     spec: &JobSpec,
-    ring_size: usize,
+    seg_count: usize,
     replies: Vec<Vec<(u64, ByteBuf)>>,
-) -> Result<(Vec<f64>, usize, u64), String> {
-    let seg_count = job_segment_count(spec, ring_size);
-    let seg_len = segment_len(spec.dim, seg_count);
+) -> NetResult<(Vec<f64>, usize, u64)> {
     let mut value = vec![0.0; spec.dim];
     let mut seen = vec![false; seg_count];
     let mut wire_segments = 0usize;
@@ -1304,34 +1286,36 @@ fn assemble(
         for (index, bytes) in segments {
             let index = index as usize;
             if index >= seg_count || seen[index] {
-                return Err(format!(
+                return Err(NetError::Codec(format!(
                     "job {}: segment {index} out of range or duplicated",
                     spec.id
-                ));
+                )));
             }
             seen[index] = true;
             wire_segments += 1;
             result_bytes += bytes.len() as u64;
             let dense = if spec.sparse {
-                DenseOrSparse::from_frame(bytes).map_err(|e| e.to_string())?.into_dense()
+                DenseOrSparse::from_frame(bytes)?.into_dense()
             } else {
-                F64Array::from_frame(bytes).map_err(|e| e.to_string())?.0
+                F64Array::from_frame(bytes)?.0
             };
-            let lo = (index * seg_len).min(spec.dim);
-            let hi = (lo + dense.len()).min(spec.dim);
-            if hi - lo != dense.len() {
-                return Err(format!(
-                    "job {}: segment {index} length {} overflows dim {}",
+            let (lo, hi) = slice_bounds(spec.dim, index, seg_count);
+            if dense.len() != hi - lo {
+                return Err(NetError::Codec(format!(
+                    "job {}: segment {index} has length {}, its slice {lo}..{hi} needs {}",
                     spec.id,
                     dense.len(),
-                    spec.dim
-                ));
+                    hi - lo
+                )));
             }
             value[lo..hi].copy_from_slice(&dense);
         }
     }
     if let Some(missing) = seen.iter().position(|s| !s) {
-        return Err(format!("job {}: segment {missing} never arrived", spec.id));
+        return Err(NetError::Codec(format!(
+            "job {}: segment {missing} never arrived",
+            spec.id
+        )));
     }
     Ok((value, wire_segments, result_bytes))
 }
@@ -1367,6 +1351,14 @@ mod tests {
     /// Spins up a driver plus `n` executor threads joined over real loopback
     /// TCP, runs `jobs` through them, and returns the outcomes.
     fn run_cluster(n: usize, channels: usize, jobs: Vec<JobSpec>) -> Vec<JobOutcome> {
+        with_cluster(n, channels, |driver| {
+            jobs.iter().map(|j| driver.run_job(j).unwrap()).collect()
+        })
+    }
+
+    /// Runs `f` against a driver over `n` executor threads joined over real
+    /// loopback TCP, then shuts the cluster down.
+    fn with_cluster<R>(n: usize, channels: usize, f: impl FnOnce(&mut MultiProcDriver) -> R) -> R {
         let mut coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
         let addr = coordinator.local_addr().unwrap().to_string();
         let mut execs = Vec::new();
@@ -1379,44 +1371,93 @@ mod tests {
         let controls = coordinator.wait_for(n, channels, Duration::from_secs(20)).unwrap();
         let mut driver = MultiProcDriver::new(controls);
         driver.reply_timeout = Duration::from_secs(30);
-        let outcomes: Vec<JobOutcome> =
-            jobs.iter().map(|j| driver.run_job(j).unwrap()).collect();
+        let out = f(&mut driver);
         driver.shutdown();
         for e in execs {
             e.join().unwrap();
         }
-        outcomes
+        out
     }
 
     #[test]
     fn dense_job_is_bit_exact() {
-        let spec = JobSpec::dense(11, 0xD5EED, 4096, 9);
-        let outcomes = run_cluster(3, 2, vec![spec.clone()]);
-        let o = &outcomes[0];
-        assert_eq!(o.attempts, 1);
-        assert!(!o.used_fallback);
-        assert_eq!(o.wire_segments, 2 * 3 * 2);
-        assert_eq!(o.ring_size, 3);
-        assert_eq!(o.view_generation, 0);
-        assert_eq!(bits(&o.value), bits(&oracle(&spec)));
+        // Chunked ring: P*N*C = 2*3*2 segments. Halving: P*N = 6 is already
+        // a multiple of 2, and the folded-out rank owns nothing.
+        for (algo, segments) in [(Algo::ChunkedRing(2), 2 * 3 * 2), (Algo::Halving, 2 * 3)] {
+            let mut spec = JobSpec::dense(11, 0xD5EED, 4096, 9);
+            spec.algo = algo;
+            let outcomes = run_cluster(3, 2, vec![spec.clone()]);
+            let o = &outcomes[0];
+            assert_eq!(o.attempts, 1, "{algo:?}");
+            assert!(!o.used_fallback, "{algo:?}");
+            assert_eq!(o.wire_segments, segments, "{algo:?}");
+            assert_eq!(o.ring_size, 3);
+            assert_eq!(o.view_generation, 0);
+            assert_eq!(bits(&o.value), bits(&oracle(&spec)), "{algo:?}");
+        }
     }
 
     #[test]
     fn sparse_job_is_bit_exact_and_cheaper_on_the_wire() {
         let dim = 8192;
-        let sparse = JobSpec::sparse(21, 0x5EED5, dim, 9, 0.01);
-        let mut dense = sparse.clone();
-        dense.id = 22;
-        dense.sparse = false;
-        let outcomes = run_cluster(3, 2, vec![sparse.clone(), dense]);
-        assert_eq!(bits(&outcomes[0].value), bits(&oracle(&sparse)));
-        assert_eq!(bits(&outcomes[1].value), bits(&outcomes[0].value));
-        assert!(
-            outcomes[0].result_bytes * 3 < outcomes[1].result_bytes,
-            "sparse gather ({} B) should be well under dense ({} B)",
-            outcomes[0].result_bytes,
-            outcomes[1].result_bytes
-        );
+        for algo in [Algo::ChunkedRing(2), Algo::Halving] {
+            let mut sparse = JobSpec::sparse(21, 0x5EED5, dim, 9, 0.01);
+            sparse.algo = algo;
+            let mut dense = sparse.clone();
+            dense.id = 22;
+            dense.sparse = false;
+            let outcomes = run_cluster(3, 2, vec![sparse.clone(), dense]);
+            assert_eq!(bits(&outcomes[0].value), bits(&oracle(&sparse)), "{algo:?}");
+            assert_eq!(bits(&outcomes[1].value), bits(&outcomes[0].value), "{algo:?}");
+            assert!(
+                outcomes[0].result_bytes * 3 < outcomes[1].result_bytes,
+                "{algo:?}: sparse gather ({} B) should be well under dense ({} B)",
+                outcomes[0].result_bytes,
+                outcomes[1].result_bytes
+            );
+        }
+    }
+
+    #[test]
+    fn unrunnable_jobs_are_rejected_typed_before_any_frame() {
+        let mut tree = JobSpec::dense(61, 0x7EE, 256, 3);
+        tree.algo = Algo::Tree;
+        let mut no_channels = JobSpec::dense(62, 0x7EE, 256, 3);
+        no_channels.parallelism = 0;
+        let mut no_chunks = JobSpec::dense(64, 0x7EE, 256, 3);
+        no_chunks.algo = Algo::ChunkedRing(0);
+        let mut no_hier_chunks = JobSpec::dense(65, 0x7EE, 256, 3);
+        no_hier_chunks.algo = Algo::Hierarchical(0);
+        let ring = JobSpec::dense(63, 0x7EE, 256, 3);
+        let (errs, after) = with_cluster(2, 2, |driver| {
+            let errs = [
+                driver.run_job(&tree),
+                driver.run_job(&no_channels),
+                driver.run_job(&no_chunks),
+                driver.run_job(&no_hier_chunks),
+            ];
+            (errs, driver.run_job(&ring).unwrap())
+        });
+        for err in errs {
+            assert!(matches!(err, Err(EngineError::Invalid(_))), "{err:?}");
+        }
+        // Nothing was dispatched: every executor is still serving, the next
+        // job's replies line up and it succeeds first try.
+        assert_eq!(after.attempts, 1);
+        assert_eq!(bits(&after.value), bits(&oracle(&ring)));
+    }
+
+    #[test]
+    fn assemble_rejects_wrong_length_segments() {
+        // dim 10 over 4 segments: slice_bounds gives lengths 3, 3, 2, 2.
+        let spec = JobSpec::dense(71, 1, 10, 1);
+        let seg = |i: u64, len: usize| (i, F64Array(vec![1.0; len]).to_frame());
+        let good = vec![vec![seg(0, 3), seg(1, 3), seg(2, 2), seg(3, 2)]];
+        assert_eq!(assemble(&spec, 4, good).unwrap().0, vec![1.0; 10]);
+        let short = vec![vec![seg(0, 3), seg(1, 2), seg(2, 2), seg(3, 2)]];
+        assert!(matches!(assemble(&spec, 4, short), Err(NetError::Codec(_))));
+        let long = vec![vec![seg(0, 4), seg(1, 3), seg(2, 2), seg(3, 2)]];
+        assert!(matches!(assemble(&spec, 4, long), Err(NetError::Codec(_))));
     }
 
     #[test]
@@ -1424,10 +1465,10 @@ mod tests {
         // 4 ranks blocked into 2 emulated nodes: ranks {0,1} on emunode-000,
         // {2,3} on emunode-001. Leaders (0, 2) own all P*L*C segments.
         let mut dense = JobSpec::dense(51, 0x41E2, 4096, 9);
-        dense.algo = ALGO_HIER;
+        dense.algo = Algo::Hierarchical(2);
         dense.nodes = 2;
         let mut sparse = JobSpec::sparse(52, 0x41E3, 4096, 9, 0.02);
-        sparse.algo = ALGO_HIER;
+        sparse.algo = Algo::Hierarchical(2);
         sparse.nodes = 2;
         let outcomes = run_cluster(4, 2, vec![dense.clone(), sparse.clone()]);
         let o = &outcomes[0];
@@ -1444,7 +1485,7 @@ mod tests {
         // nodes == 0 leaves every rank its own node; the hierarchical path
         // must collapse to the flat ring layout (P*N*C segments).
         let mut spec = JobSpec::dense(53, 0x41E4, 2048, 6);
-        spec.algo = ALGO_HIER;
+        spec.algo = Algo::Hierarchical(2);
         let outcomes = run_cluster(3, 2, vec![spec.clone()]);
         let o = &outcomes[0];
         assert_eq!(o.wire_segments, 2 * 3 * 2);
@@ -1485,7 +1526,7 @@ mod tests {
         with_assign.assigned = vec![vec![0, 3], vec![1], vec![2]];
         with_assign.view = MembershipView { generation: 3, members: vec![0, 2, 3] };
         with_assign.epoch_ns = 511;
-        with_assign.algo = ALGO_HIER;
+        with_assign.algo = Algo::Hierarchical(3);
         with_assign.nodes = 2;
         let frame = with_assign.to_frame();
         assert_eq!(frame.len(), with_assign.size_hint(), "JobSpec size_hint must be exact");
@@ -1544,6 +1585,24 @@ mod tests {
             let back = MembershipView::from_frame(view.to_frame()).unwrap();
             assert_eq!(back, view);
             assert_eq!(view.to_frame().len(), view.size_hint());
+        }
+    }
+
+    #[test]
+    fn algo_wire_form_roundtrips_and_rejects_bad_bytes() {
+        let extra = [Algo::ChunkedRing(1), Algo::Hierarchical(3)];
+        for algo in Algo::candidates().into_iter().chain(extra) {
+            let mut enc = Encoder::new();
+            put_algo(&mut enc, algo);
+            assert_eq!(get_algo(&mut Decoder::new(enc.finish())).unwrap(), algo);
+        }
+        // Unknown tag, zero chunks, a chunk count on an unchunked algorithm.
+        for (tag, chunks) in [(5u8, 1u8), (1, 0), (4, 0), (0, 2)] {
+            let mut enc = Encoder::new();
+            enc.put_u8(tag);
+            enc.put_u8(chunks);
+            let got = get_algo(&mut Decoder::new(enc.finish()));
+            assert!(matches!(got, Err(NetError::Codec(_))), "({tag}, {chunks}): {got:?}");
         }
     }
 

@@ -32,12 +32,10 @@ use sparker_obs::Layer;
 use sparker_net::codec::{Decoder, Encoder, Payload};
 use sparker_net::topology::ExecutorId;
 
-use sparker_collectives::halving::recursive_halving_reduce_scatter_by;
-use sparker_collectives::hierarchical::{hierarchical_reduce_scatter_chunked_by, node_topology_of};
-use sparker_collectives::ring::{ring_reduce_scatter_chunked_by, OwnedSegment};
+use sparker_collectives::ring::OwnedSegment;
 use sparker_collectives::segment::slice_bounds;
 
-use sparker_tuner::{Algo, CostModel, Decision, JobShape, Selector};
+use sparker_tuner::{Algo, CostModel, JobShape, Selector};
 
 use crate::cluster::{LocalCluster, RecoveryPolicy};
 use crate::metrics::{AggMetrics, AggStrategy};
@@ -45,6 +43,7 @@ use crate::objects::ObjectId;
 use crate::ops::basic::{fold_partition, partition_assignments};
 use crate::ops::tree_aggregate::{shuffle_round, tree_scale};
 use crate::rdd::{Data, RddRef};
+use crate::reduction::{reduce_scatter_by, segment_count};
 use crate::task::{EngineError, EngineResult, TaskFailure};
 
 /// Slot base of the fallback path's per-executor segment vectors. Disjoint
@@ -52,29 +51,16 @@ use crate::task::{EngineError, EngineResult, TaskFailure};
 /// and the shuffle-round slots (`level << 32 | j`, small `level`).
 const FALLBACK_SLOT_BASE: u64 = 2 << 48;
 
-/// Which reduce-scatter algorithm the ring stage runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RsAlgorithm {
-    /// Ring reduce-scatter over the PDR (the paper's choice).
-    Ring,
-    /// Recursive halving (Rabenseifner) — the ablation alternative.
-    Halving,
-    /// Two-level hierarchical reduce-scatter: intra-node fold to node
-    /// leaders, chunked ring over the leaders-only sub-ring (see
-    /// `sparker_collectives::hierarchical` and DESIGN.md §5j).
-    Hierarchical,
-}
-
 /// How `split_aggregate` picks its reduction algorithm (DESIGN.md §5j).
 ///
-/// `None` on [`SplitAggOpts::selector`] keeps the legacy behavior: run
-/// exactly `SplitAggOpts::{algorithm, chunks}`. Both variants are `Copy`
-/// (the cost model is five scalars), so `SplitAggOpts` stays `Copy`.
+/// Both variants are `Copy` (the cost model is five scalars), so
+/// `SplitAggOpts` stays `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SelectorOpts {
-    /// Run this tuner-menu entry, overriding `algorithm`/`chunks`.
-    /// `Algo::Tree` runs the shuffle-tree path as the *primary* (no
-    /// downgrade accounting), which the legacy knobs cannot express.
+    /// Run this algorithm. `Forced(Algo::FlatRing)` is the paper's ring
+    /// and the default; `ChunkedRing(C)`/`Hierarchical(C)` pipeline `C`
+    /// chunks per segment. `Algo::Tree` runs the shuffle-tree path as the
+    /// *primary* (no downgrade accounting).
     Forced(Algo),
     /// Rank the full menu under this calibrated cost model using the
     /// cluster's node topology and the `hint_*` fields, and run the
@@ -100,14 +86,8 @@ pub enum ImmMode {
 pub struct SplitAggOpts {
     /// PDR channel parallelism; defaults to the cluster spec's value.
     pub parallelism: Option<usize>,
-    pub algorithm: RsAlgorithm,
     /// In-memory-merge strategy of the compute stage.
     pub imm_mode: ImmMode,
-    /// Pipeline chunks per ring segment (`1` = classic unpipelined ring).
-    /// With `C > 1` the ring stage splits the aggregator into `P·N·C`
-    /// segments and overlaps chunk sends with chunk merges inside every
-    /// ring step. Requires [`RsAlgorithm::Ring`].
-    pub chunks: usize,
     /// Scheduler job this op runs under; stamped onto stage history records
     /// and [`AggMetrics::job_id`]. 0 (the default) means "no job" and keeps
     /// single-job runs byte-identical to before.
@@ -117,9 +97,8 @@ pub struct SplitAggOpts {
     /// namespaces so their rings can never accept each other's frames. Must
     /// be `< epoch::NS_COUNT`; 0 is the single-job default.
     pub epoch_ns: u32,
-    /// Algorithm selection policy; `None` (default) honors
-    /// `algorithm`/`chunks` exactly as before the tuner existed.
-    pub selector: Option<SelectorOpts>,
+    /// Which reduction runs; defaults to `Forced(Algo::FlatRing)`.
+    pub selector: SelectorOpts,
     /// Dense wire size of one aggregator in bytes, for [`SelectorOpts::Auto`]
     /// cost prediction. 0 (unknown) is treated as 1 byte, which makes the
     /// prediction latency-dominated.
@@ -133,12 +112,10 @@ impl Default for SplitAggOpts {
     fn default() -> Self {
         Self {
             parallelism: None,
-            algorithm: RsAlgorithm::Ring,
             imm_mode: ImmMode::LocalFold,
-            chunks: 1,
             job_id: 0,
             epoch_ns: 0,
-            selector: None,
+            selector: SelectorOpts::Forced(Algo::FlatRing),
             hint_bytes: 0,
             hint_density_permille: 1000,
         }
@@ -186,9 +163,6 @@ where
     }
     let nexec = inner.num_executors();
     let parallelism = opts.parallelism.unwrap_or(inner.spec().ring_parallelism);
-    if opts.chunks == 0 {
-        return Err(EngineError::Invalid("split_aggregate needs chunks >= 1".into()));
-    }
     if opts.epoch_ns >= sparker_net::epoch::NS_COUNT {
         return Err(EngineError::Invalid(format!(
             "epoch namespace {} out of range (< {})",
@@ -198,48 +172,30 @@ where
     }
 
     // --- Algorithm selection (DESIGN.md §5j) -----------------------------
-    // Resolve the selector policy to an effective (algorithm, chunks,
-    // tree_primary) triple. `tuning` keeps the selector + decision around so
-    // the measured reduce time can be fed back as the
-    // `tuner.predict_vs_actual_permille` gauge.
-    let picked: Option<Algo> = match opts.selector {
-        None => None,
-        Some(SelectorOpts::Forced(algo)) => Some(algo),
-        Some(SelectorOpts::Auto(_)) => None, // resolved below with the topology
+    // `tuning` keeps the selector + decision around so the measured reduce
+    // time can be fed back as the `tuner.predict_vs_actual_permille` gauge.
+    let (algo, tuning) = match opts.selector {
+        SelectorOpts::Forced(algo) => (algo, None),
+        SelectorOpts::Auto(model) => {
+            let topo = sparker_net::NodeTopology::group(inner.executor_infos());
+            let shape = JobShape {
+                bytes: opts.hint_bytes.max(1),
+                density_permille: opts.hint_density_permille.min(1000),
+                executors: nexec,
+                nodes: topo.num_nodes(),
+                parallelism,
+            };
+            let selector = Selector::new(model);
+            let decision = selector.select(&shape);
+            (decision.algo, Some((selector, decision)))
+        }
     };
-    let mut tuning: Option<(Selector, Decision)> = None;
-    let picked = if let Some(SelectorOpts::Auto(model)) = opts.selector {
-        let topo = sparker_net::NodeTopology::group(inner.executor_infos());
-        let shape = JobShape {
-            bytes: opts.hint_bytes.max(1),
-            density_permille: opts.hint_density_permille.min(1000),
-            executors: nexec,
-            nodes: topo.num_nodes(),
-            parallelism,
-        };
-        let selector = Selector::new(model);
-        let decision = selector.select(&shape);
-        let algo = decision.algo;
-        tuning = Some((selector, decision));
-        Some(algo)
-    } else {
-        picked
-    };
-    let (algorithm, chunks, tree_primary) = match picked {
-        None => (opts.algorithm, opts.chunks, false),
-        Some(Algo::FlatRing) => (RsAlgorithm::Ring, 1, false),
-        Some(Algo::ChunkedRing(c)) => (RsAlgorithm::Ring, c as usize, false),
-        Some(Algo::Halving) => (RsAlgorithm::Halving, 1, false),
-        Some(Algo::Hierarchical) => (RsAlgorithm::Hierarchical, 1, false),
-        // Tree-as-primary reuses the fallback machinery below, entered
-        // deliberately rather than after gang exhaustion.
-        Some(Algo::Tree) => (RsAlgorithm::Ring, 1, true),
-    };
-    if chunks > 1 && !matches!(algorithm, RsAlgorithm::Ring | RsAlgorithm::Hierarchical) {
-        return Err(EngineError::Invalid(
-            "chunk pipelining (chunks > 1) requires RsAlgorithm::Ring or Hierarchical".into(),
-        ));
+    if algo.chunks() == 0 {
+        return Err(EngineError::Invalid("split_aggregate needs chunks >= 1".into()));
     }
+    // Tree-as-primary reuses the fallback machinery below, entered
+    // deliberately rather than after gang exhaustion.
+    let tree_primary = algo == Algo::Tree;
 
     // Stamp every stage record of this op with the job id; the guard resets
     // the stamp on every exit path (the action lock is held throughout, so
@@ -253,10 +209,10 @@ where
     }
     let _job_stamp = JobStamp(inner.history());
 
-    let strategy = match algorithm {
-        RsAlgorithm::Ring => AggStrategy::Split,
-        RsAlgorithm::Halving => AggStrategy::SplitHalving,
-        RsAlgorithm::Hierarchical => AggStrategy::SplitHier,
+    let strategy = match algo {
+        Algo::Halving => AggStrategy::SplitHalving,
+        Algo::Hierarchical(_) => AggStrategy::SplitHier,
+        Algo::FlatRing | Algo::ChunkedRing(_) | Algo::Tree => AggStrategy::Split,
     };
     let mut metrics = AggMetrics::new(strategy);
     metrics.job_id = opts.job_id;
@@ -315,22 +271,7 @@ where
         ScopedSpan::begin(scope, Layer::Driver, format!("{}-reduce-op{op}", strategy.name()));
     let sc_before = cluster.sc_stats();
     let ring = inner.build_ring(parallelism);
-    let n = ring.size();
-    // Ring RS needs exactly P*N segments; halving needs a multiple of the
-    // largest power of two <= N; hierarchical needs P*L*C where L is the
-    // number of *nodes* in the ring (leaders own every segment; non-leaders
-    // own none). Pad the segment count up when needed.
-    let total_segments = match algorithm {
-        RsAlgorithm::Ring => parallelism * n * chunks,
-        RsAlgorithm::Halving => {
-            let mut p2 = 1usize;
-            while p2 * 2 <= n {
-                p2 *= 2;
-            }
-            (parallelism * n).div_ceil(p2) * p2
-        }
-        RsAlgorithm::Hierarchical => parallelism * node_topology_of(&ring).num_nodes() * chunks,
-    };
+    let total_segments = segment_count(algo, &ring);
 
     let ring_label = format!("split-ring-op{op}");
     let all_execs: Vec<ExecutorId> = (0..nexec).map(|e| ExecutorId(e as u32)).collect();
@@ -399,28 +340,9 @@ where
                     op,
                     sparker_net::epoch::namespaced(epoch_ns, attempt),
                 );
-                let owned: Vec<OwnedSegment<V>> = match algorithm {
-                    RsAlgorithm::Ring => ring_reduce_scatter_chunked_by(
-                        &comm,
-                        segments,
-                        &|a: &mut V, b: V| reduce(a, b),
-                        chunks,
-                    )
-                    .map_err(TaskFailure::from)?,
-                    RsAlgorithm::Halving => recursive_halving_reduce_scatter_by(
-                        &comm,
-                        segments,
-                        &|a: &mut V, b: V| reduce(a, b),
-                    )
-                    .map_err(TaskFailure::from)?,
-                    RsAlgorithm::Hierarchical => hierarchical_reduce_scatter_chunked_by(
-                        &comm,
-                        segments,
-                        &|a: &mut V, b: V| reduce(a, b),
-                        chunks,
-                    )
-                    .map_err(TaskFailure::from)?,
-                };
+                let owned: Vec<OwnedSegment<V>> =
+                    reduce_scatter_by(&comm, segments, &|a: &mut V, b: V| reduce(a, b), algo)
+                        .map_err(TaskFailure::from)?;
 
                 // Gather: serialize owned segments and report them as this
                 // task's result over the normal (BlockManager) result path.
@@ -812,7 +734,7 @@ mod tests {
                 31,
                 SplitAggOpts {
                     parallelism: Some(2),
-                    algorithm: RsAlgorithm::Halving,
+                    selector: SelectorOpts::Forced(Algo::Halving),
                     ..Default::default()
                 },
             );
@@ -894,13 +816,17 @@ mod tests {
         // every merge association is exact, so all chunk counts must agree
         // bitwise with the unpipelined result and the sequential expectation.
         let want = expected(37);
-        for chunks in [1usize, 2, 4] {
+        for chunks in [1u8, 2, 4] {
             let (v, m) = run_split(
                 4,
                 2,
                 8,
                 37,
-                SplitAggOpts { parallelism: Some(2), chunks, ..Default::default() },
+                SplitAggOpts {
+                    parallelism: Some(2),
+                    selector: SelectorOpts::Forced(Algo::ChunkedRing(chunks)),
+                    ..Default::default()
+                },
             );
             assert_eq!(v, want, "chunks = {chunks}");
             assert_eq!(m.stages, 2, "chunks = {chunks}");
@@ -908,7 +834,7 @@ mod tests {
     }
 
     #[test]
-    fn chunking_requires_ring_algorithm() {
+    fn zero_chunk_count_is_rejected() {
         let cluster = LocalCluster::new(ClusterSpec::local(2, 1));
         let rdd: RddRef<u64> = Arc::new(ParallelCollection::new((1..=4).collect(), 2));
         let err = split_aggregate(
@@ -920,7 +846,10 @@ mod tests {
             |u, i, _n| if i == 0 { *u } else { 0.0 },
             |a, b| *a += b,
             |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
-            SplitAggOpts { algorithm: RsAlgorithm::Halving, chunks: 2, ..Default::default() },
+            SplitAggOpts {
+                selector: SelectorOpts::Forced(Algo::ChunkedRing(0)),
+                ..Default::default()
+            },
         )
         .unwrap_err();
         assert!(matches!(err, EngineError::Invalid(_)), "{err:?}");
@@ -937,15 +866,14 @@ mod tests {
 
     #[test]
     fn hierarchical_algorithm_matches_sequential_sum() {
-        for chunks in [1usize, 2, 3] {
+        for chunks in [1u8, 2, 3] {
             let (v, m) = run_split_on(
                 two_node_spec(),
                 8,
                 37,
                 SplitAggOpts {
                     parallelism: Some(2),
-                    algorithm: RsAlgorithm::Hierarchical,
-                    chunks,
+                    selector: SelectorOpts::Forced(Algo::Hierarchical(chunks)),
                     ..Default::default()
                 },
             );
@@ -967,7 +895,7 @@ mod tests {
             31,
             SplitAggOpts {
                 parallelism: Some(2),
-                algorithm: RsAlgorithm::Hierarchical,
+                selector: SelectorOpts::Forced(Algo::Hierarchical(1)),
                 ..Default::default()
             },
         );
@@ -976,26 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_selector_overrides_legacy_knobs() {
-        use sparker_tuner::Algo;
-        // Legacy knobs say flat ring; the forced selector runs hierarchical.
-        let (v, m) = run_split_on(
-            two_node_spec(),
-            8,
-            29,
-            SplitAggOpts {
-                parallelism: Some(2),
-                selector: Some(SelectorOpts::Forced(Algo::Hierarchical)),
-                ..Default::default()
-            },
-        );
-        assert_eq!(v, expected(29));
-        assert_eq!(m.strategy, AggStrategy::SplitHier);
-    }
-
-    #[test]
     fn forced_tree_is_primary_not_a_downgrade() {
-        use sparker_tuner::Algo;
         let cluster = LocalCluster::new(two_node_spec());
         let data: Vec<u64> = (1..=64).collect();
         let rdd: RddRef<u64> = Arc::new(ParallelCollection::new(data, 8));
@@ -1010,7 +919,7 @@ mod tests {
             |segs: Vec<f64>| segs.into_iter().sum::<f64>(),
             SplitAggOpts {
                 parallelism: Some(2),
-                selector: Some(SelectorOpts::Forced(Algo::Tree)),
+                selector: SelectorOpts::Forced(Algo::Tree),
                 ..Default::default()
             },
         )
@@ -1035,7 +944,7 @@ mod tests {
             37,
             SplitAggOpts {
                 parallelism: Some(2),
-                selector: Some(SelectorOpts::Auto(CostModel::default_model())),
+                selector: SelectorOpts::Auto(CostModel::default_model()),
                 hint_bytes: 4 << 20,
                 ..Default::default()
             },

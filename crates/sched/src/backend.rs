@@ -16,9 +16,7 @@
 use std::sync::Arc;
 
 use sparker_engine::config::ClusterSpec;
-use sparker_engine::multiproc::{
-    part_vector, JobOutcome, JobSpec, MultiProcDriver, ALGO_HIER, ALGO_RING,
-};
+use sparker_engine::multiproc::{part_vector, JobOutcome, JobSpec, MultiProcDriver};
 use sparker_engine::ops::split_aggregate::{split_aggregate, SelectorOpts, SplitAggOpts};
 use sparker_engine::rdd::RddRef;
 use sparker_engine::rdds::ParallelCollection;
@@ -66,9 +64,8 @@ pub struct AggJob {
 /// In-process backend: `lanes` independent [`LocalCluster`]s.
 pub struct EngineBackend {
     lanes: Vec<LocalCluster>,
-    /// Algorithm selection policy stamped onto every job (`None` = the
-    /// engine's legacy flat-ring default).
-    selector: Option<SelectorOpts>,
+    /// Algorithm selection policy stamped onto every job.
+    selector: SelectorOpts,
 }
 
 impl EngineBackend {
@@ -83,14 +80,14 @@ impl EngineBackend {
         assert!(lanes >= 1, "need at least one lane");
         Self {
             lanes: (0..lanes).map(|_| LocalCluster::new(spec.clone())).collect(),
-            selector: None,
+            selector: SplitAggOpts::default().selector,
         }
     }
 
     /// Runs every job under this selection policy (e.g.
     /// `SelectorOpts::Auto(model)` for calibrated auto-tuning).
     pub fn with_selector(mut self, selector: SelectorOpts) -> Self {
-        self.selector = Some(selector);
+        self.selector = selector;
         self
     }
 
@@ -164,67 +161,13 @@ impl Backend for EngineBackend {
 /// policy queue and each runs under its own epoch namespace on the wire.
 pub struct MultiProcBackend {
     driver: Arc<Mutex<MultiProcDriver>>,
-    tuning: Option<MultiProcTuning>,
-}
-
-/// Auto-tuning config for [`MultiProcBackend`]: the calibrated cost model
-/// plus the emulated node count stamped into every spec (the TCP mesh has no
-/// physical topology, so the node grouping is part of the experiment setup).
-#[derive(Debug, Clone, Copy)]
-pub struct MultiProcTuning {
-    pub model: sparker_tuner::CostModel,
-    /// Emulated nodes ([`JobSpec::nodes`]); 0 = every rank its own node.
-    pub nodes: usize,
 }
 
 impl MultiProcBackend {
     /// Wraps a shared driver; the caller keeps its own `Arc` for shutdown
     /// and metrics collection after the scheduler is done.
     pub fn new(driver: Arc<Mutex<MultiProcDriver>>) -> Self {
-        Self { driver, tuning: None }
-    }
-
-    /// Picks `algo`/`chunks` per job from the calibrated model instead of
-    /// honoring the spec's own values.
-    pub fn with_tuning(mut self, tuning: MultiProcTuning) -> Self {
-        self.tuning = Some(tuning);
-        self
-    }
-
-    /// Rewrites `spec`'s algorithm fields from a fresh selection over the
-    /// current live-executor count. Exposed for tests and benches.
-    pub fn tune_spec(tuning: &MultiProcTuning, executors: usize, spec: &mut JobSpec) {
-        use sparker_tuner::{Algo, JobShape, Selector};
-        let density_permille = if spec.sparse {
-            ((spec.density * 1000.0).round() as u32).clamp(1, 1000)
-        } else {
-            1000
-        };
-        let shape = JobShape {
-            bytes: (spec.dim * 8) as u64,
-            density_permille,
-            executors: executors.max(1),
-            nodes: if tuning.nodes == 0 { executors.max(1) } else { tuning.nodes.min(executors.max(1)) },
-            parallelism: spec.parallelism,
-        };
-        let decision = Selector::new(tuning.model).select(&shape);
-        spec.nodes = tuning.nodes;
-        match decision.algo {
-            Algo::ChunkedRing(c) => {
-                spec.algo = ALGO_RING;
-                spec.chunks = c as usize;
-            }
-            Algo::Hierarchical => {
-                spec.algo = ALGO_HIER;
-                spec.chunks = 1;
-            }
-            // The TCP mesh runs the ring family only; halving and tree map
-            // to the flat ring (the closest supported path).
-            Algo::FlatRing | Algo::Halving | Algo::Tree => {
-                spec.algo = ALGO_RING;
-                spec.chunks = 1;
-            }
-        }
+        Self { driver }
     }
 }
 
@@ -242,11 +185,7 @@ impl Backend for MultiProcBackend {
         // queue and its namespace is unique among live jobs.
         spec.id = ctx.job_id;
         spec.epoch_ns = ctx.epoch_ns;
-        let mut driver = self.driver.lock();
-        if let Some(tuning) = &self.tuning {
-            Self::tune_spec(tuning, driver.alive().len(), &mut spec);
-        }
-        driver.run_job(&spec).map_err(|e| e.to_string())
+        self.driver.lock().run_job(&spec).map_err(|e| e.to_string())
     }
 }
 
@@ -287,19 +226,6 @@ mod tests {
             want.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             "auto-tuned run bit-exact vs serial oracle"
         );
-    }
-
-    #[test]
-    fn tune_spec_picks_hierarchical_for_big_dense_multi_node() {
-        use sparker_tuner::CostModel;
-        let tuning = MultiProcTuning { model: CostModel::default_model(), nodes: 2 };
-        let mut spec = JobSpec::dense(1, 7, 512 * 1024, 8); // 4 MiB aggregator
-        MultiProcBackend::tune_spec(&tuning, 8, &mut spec);
-        assert_eq!(spec.algo, ALGO_HIER, "4 MiB dense over 2 nodes -> hierarchical");
-        assert_eq!(spec.nodes, 2);
-        let mut tiny = JobSpec::dense(2, 7, 16, 8); // 128 B aggregator
-        MultiProcBackend::tune_spec(&tuning, 8, &mut tiny);
-        assert_eq!(tiny.chunks, 1, "tiny jobs cannot pay per-chunk alphas");
     }
 
     #[test]

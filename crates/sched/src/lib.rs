@@ -39,7 +39,7 @@ pub mod error;
 pub mod policy;
 pub mod scheduler;
 
-pub use backend::{AggJob, Backend, EngineBackend, JobCtx, MultiProcBackend, MultiProcTuning};
+pub use backend::{AggJob, Backend, EngineBackend, JobCtx, MultiProcBackend};
 pub use error::SchedError;
 pub use policy::{ClientId, FairShare, Fifo, JobMeta, Policy, Priority, StrictPriority};
 pub use scheduler::{JobHandle, JobRequest, SchedConfig, Scheduler};

@@ -42,7 +42,7 @@ pub fn simulate_algo(
         Algo::ChunkedRing(c) => build_ring(&mut g, cluster, msg_bytes, p, c as usize),
         Algo::Halving => build_halving(&mut g, cluster, msg_bytes, p),
         Algo::Tree => build_tree(&mut g, cluster, msg_bytes),
-        Algo::Hierarchical => build_hierarchical(&mut g, cluster, &params, msg_bytes, p),
+        Algo::Hierarchical(_) => build_hierarchical(&mut g, cluster, &params, msg_bytes, p),
     };
     let end = g.barrier(finals);
     let r = g.run(&params);
@@ -341,7 +341,7 @@ mod tests {
     fn hierarchical_beats_flat_ring_at_paper_scale_in_the_des() {
         let c = SimCluster::aws();
         for bytes in [MB, 4.0 * MB] {
-            let hier = simulate_algo(&c, Algo::Hierarchical, bytes, 4);
+            let hier = simulate_algo(&c, Algo::Hierarchical(1), bytes, 4);
             let flat = simulate_algo(&c, Algo::FlatRing, bytes, 4);
             assert!(
                 hier < flat,
@@ -366,7 +366,7 @@ mod tests {
     #[test]
     fn hierarchical_degenerates_when_every_rank_is_its_own_node() {
         let c = SimCluster::bic().with_nodes(8).with_executors(1, 4);
-        let hier = simulate_algo(&c, Algo::Hierarchical, MB, 2);
+        let hier = simulate_algo(&c, Algo::Hierarchical(1), MB, 2);
         let flat = simulate_algo(&c, Algo::FlatRing, MB, 2);
         let rel = (hier - flat).abs() / flat.max(1e-12);
         assert!(rel < 1e-9, "degenerate hier {hier} vs flat {flat}");

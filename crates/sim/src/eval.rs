@@ -524,7 +524,7 @@ pub fn run_paper_eval(cfg: &EvalConfig) -> EvalReport {
                 }
                 if bytes >= MB {
                     let flat = times.iter().find(|(a, _)| *a == Algo::FlatRing).unwrap().1;
-                    let hier = times.iter().find(|(a, _)| *a == Algo::Hierarchical).unwrap().1;
+                    let hier = times.iter().find(|(a, _)| *a == Algo::Hierarchical(1)).unwrap().1;
                     hier_vs_flat_min = hier_vs_flat_min.min(flat / hier);
                 }
             }

@@ -17,15 +17,18 @@ use sparker_net::profile::NetProfile;
 pub enum Algo {
     /// Flat unpipelined ring reduce-scatter over all executors.
     FlatRing,
-    /// Flat ring with `C` pipeline chunks per segment, `C in 2..=8`.
+    /// Flat ring with `C >= 1` pipeline chunks per segment; the selector's
+    /// menu offers `C in 2..=8`.
     ChunkedRing(u8),
     /// Recursive halving (Rabenseifner) reduce-scatter.
     Halving,
     /// Binomial tree over whole aggregators (the non-splitting baseline,
     /// and the engine's degradation target).
     Tree,
-    /// Two-level: intra-node fold to node leaders, ring over leaders.
-    Hierarchical,
+    /// Two-level: intra-node fold to node leaders, then a ring over the
+    /// leaders with `C >= 1` pipeline chunks per segment. The menu offers
+    /// `C = 1`, and the model does not price `C`.
+    Hierarchical(u8),
 }
 
 impl Algo {
@@ -37,7 +40,7 @@ impl Algo {
             Algo::ChunkedRing(_) => "chunked_ring",
             Algo::Halving => "halving",
             Algo::Tree => "tree",
-            Algo::Hierarchical => "hier",
+            Algo::Hierarchical(_) => "hier",
         }
     }
 
@@ -47,14 +50,14 @@ impl Algo {
         v.extend((2..=8).map(Algo::ChunkedRing));
         v.push(Algo::Halving);
         v.push(Algo::Tree);
-        v.push(Algo::Hierarchical);
+        v.push(Algo::Hierarchical(1));
         v
     }
 
     /// Pipeline chunk count this choice implies.
     pub fn chunks(&self) -> usize {
         match self {
-            Algo::ChunkedRing(c) => *c as usize,
+            Algo::ChunkedRing(c) | Algo::Hierarchical(c) => *c as usize,
             _ => 1,
         }
     }
@@ -220,7 +223,7 @@ impl CostModel {
                     * (link.alpha_s
                         + w * (link.beta_s_per_byte * contention + self.merge_s_per_byte))
             }
-            Algo::Hierarchical => {
+            Algo::Hierarchical(_) => {
                 if l >= n {
                     // Every executor its own node: identical to the flat ring.
                     return self.predict(Algo::FlatRing, shape);
@@ -357,14 +360,14 @@ mod tests {
         let model = CostModel::default_model();
         // 120 executors over 10 nodes (paper's AWS shape), 4 MiB dense.
         let s = JobShape::dense(4 << 20, 120, 10, 4);
-        assert!(model.predict(Algo::Hierarchical, &s) < model.predict(Algo::FlatRing, &s));
+        assert!(model.predict(Algo::Hierarchical(1), &s) < model.predict(Algo::FlatRing, &s));
     }
 
     #[test]
     fn hierarchical_degenerates_to_flat_ring() {
         let model = CostModel::default_model();
         let s = JobShape::dense(1 << 20, 8, 8, 2);
-        assert_eq!(model.predict(Algo::Hierarchical, &s), model.predict(Algo::FlatRing, &s));
+        assert_eq!(model.predict(Algo::Hierarchical(1), &s), model.predict(Algo::FlatRing, &s));
     }
 
     #[test]

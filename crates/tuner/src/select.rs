@@ -82,7 +82,7 @@ fn selected_counter(algo: Algo) -> std::sync::Arc<sparker_obs::metrics::Counter>
         Algo::ChunkedRing(_) => sparker_obs::metrics::counter("tuner.selected.chunked_ring"),
         Algo::Halving => sparker_obs::metrics::counter("tuner.selected.halving"),
         Algo::Tree => sparker_obs::metrics::counter("tuner.selected.tree"),
-        Algo::Hierarchical => sparker_obs::metrics::counter("tuner.selected.hier"),
+        Algo::Hierarchical(_) => sparker_obs::metrics::counter("tuner.selected.hier"),
     }
 }
 
@@ -141,7 +141,7 @@ mod tests {
     fn big_multi_node_dense_prefers_hierarchical() {
         let sel = Selector::default_selector();
         let d = sel.select(&JobShape::dense(4 << 20, 120, 10, 4));
-        assert_eq!(d.algo, Algo::Hierarchical);
+        assert_eq!(d.algo, Algo::Hierarchical(1));
         assert!(!d.sparse);
     }
 

@@ -96,16 +96,20 @@ fn all_strategies_agree_across_shapes() {
 fn split_variants_agree() {
     let cluster = LocalCluster::local(4, 2);
     let want = expected(8, 100);
-    for algorithm in [RsAlgorithm::Ring, RsAlgorithm::Halving] {
+    for algo in [Algo::FlatRing, Algo::Halving] {
         for parallelism in [1usize, 2, 5, 8] {
             let got = run(
                 &cluster,
                 8,
                 100,
                 "split",
-                SplitAggOpts { parallelism: Some(parallelism), algorithm, ..Default::default() },
+                SplitAggOpts {
+                    parallelism: Some(parallelism),
+                    selector: SelectorOpts::Forced(algo),
+                    ..Default::default()
+                },
             );
-            assert_eq!(got, want, "{algorithm:?} P={parallelism}");
+            assert_eq!(got, want, "{algo:?} P={parallelism}");
         }
     }
 }

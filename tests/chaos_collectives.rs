@@ -54,7 +54,7 @@ fn run_split(cluster: &LocalCluster) -> EngineResult<(Vec<f64>, AggMetrics)> {
 /// overlaps chunk sends with chunk merges inside every ring step).
 fn run_split_chunked(
     cluster: &LocalCluster,
-    chunks: usize,
+    chunks: u8,
 ) -> EngineResult<(Vec<f64>, AggMetrics)> {
     let data = cluster.parallelize((1..=24u64).collect::<Vec<_>>(), 6);
     data.split_aggregate(
@@ -80,7 +80,11 @@ fn run_split_chunked(
             }
         },
         |segs: Vec<F64Array>| F64Array(segs.into_iter().flat_map(|s| s.0).collect()),
-        SplitAggOpts { parallelism: Some(2), chunks, ..Default::default() },
+        SplitAggOpts {
+            parallelism: Some(2),
+            selector: SelectorOpts::Forced(Algo::ChunkedRing(chunks)),
+            ..Default::default()
+        },
     )
     .map(|(v, m)| (v.0, m))
 }
@@ -294,7 +298,7 @@ fn chunked_ring_random_fault_plans_never_hang_and_never_corrupt() {
         let chunks = src.usize_in(1..5);
         let cluster = LocalCluster::new(chaos_spec(plan));
         let t = Instant::now();
-        let out = run_split_chunked(&cluster, chunks);
+        let out = run_split_chunked(&cluster, chunks as u8);
         let elapsed = t.elapsed();
         tk_assert!(elapsed < Duration::from_secs(30), "chaos case took {elapsed:?}");
         match out {

@@ -5,7 +5,7 @@
 //!   therefore bit-exact with the flat ring, which satisfies the same
 //!   invariant (`prop_collectives`) on the same logical aggregator;
 //! * leaders jointly own every global segment exactly once, non-leaders
-//!   own nothing, and [`hierarchical_segment_count`] is the count the
+//!   own nothing, and the engine's shared `segment_count` is the count the
 //!   cluster actually requires;
 //! * the selector is deterministic: a fixed calibration and shape always
 //!   yield the same decision, including across selector instances and
@@ -14,14 +14,13 @@
 
 use sparker_testkit::{check, tk_assert, tk_assert_eq, Config, Source};
 
-use sparker::collectives::hierarchical::{
-    hierarchical_allreduce, hierarchical_reduce_scatter, hierarchical_segment_count,
-};
+use sparker::collectives::hierarchical::{hierarchical_allreduce, hierarchical_reduce_scatter};
 use sparker::collectives::segment::Segment;
 use sparker::collectives::testing::{run_ring_cluster, RingClusterSpec};
 use sparker::net::topology::{round_robin_layout, RingOrder, RingTopology};
 use sparker::prelude::*;
-use sparker_tuner::{Algo, CostModel, JobShape, Selector};
+use sparker_engine::reduction::segment_count;
+use sparker_tuner::{CostModel, JobShape, Selector};
 
 fn cfg() -> Config {
     Config::with_cases(12)
@@ -62,7 +61,7 @@ fn hierarchical_reduce_scatter_equals_sequential() {
         let (spec, ring) = arb_cluster(src);
         let chunks = src.usize_in(1..4);
         let n = spec.total_executors();
-        let total = hierarchical_segment_count(&ring, chunks);
+        let total = segment_count(Algo::Hierarchical(chunks as u8), &ring);
         // The grouping helper shared with `RingTopology` puts every host in
         // one group, so the count must be P·L·C with L = physical nodes.
         tk_assert_eq!(total, spec.parallelism * spec.nodes.min(n) * chunks);
@@ -100,7 +99,7 @@ fn hierarchical_allreduce_agrees_on_every_rank() {
     check(&cfg(), |src| {
         let (spec, ring) = arb_cluster(src);
         let n = spec.total_executors();
-        let total = hierarchical_segment_count(&ring, 1);
+        let total = segment_count(Algo::Hierarchical(1), &ring);
         let base = src.vec_of(1..5, |s| s.i64_any());
         let values: Vec<i64> = (0..total).map(|i| base[i % base.len()]).collect();
         let v2 = values.clone();

@@ -52,6 +52,9 @@ export CARGO_NET_OFFLINE=true
 cargo build --release --offline
 cargo test -q --offline --workspace
 cargo build --offline --benches
+# The benchmark package has its own [workspace], so the builds above never
+# compile it; build it here so a public-API change cannot break it unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 # Deadline-bounded smoke runner for steps 4-12: all of them are "run this
 # cargo invocation offline, fail the gate on non-zero or on a hang".
