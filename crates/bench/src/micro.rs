@@ -70,18 +70,33 @@ pub struct Bench {
     group: String,
     warmup: u32,
     samples: u32,
+    /// Sample count from `SPARKER_BENCH_SAMPLES`; beats [`Bench::samples`].
+    forced_samples: Option<u32>,
     results: Vec<Stats>,
 }
 
+/// Parses a `SPARKER_BENCH_SAMPLES` value: a positive count, else `None`.
+fn parse_samples(value: Option<&str>) -> Option<u32> {
+    value.and_then(|s| s.trim().parse().ok()).filter(|&n| n > 0)
+}
+
 impl Bench {
-    /// Defaults: 5 warmup iterations, 30 timed samples. Override the sample
-    /// count with `SPARKER_BENCH_SAMPLES` for quicker smoke runs.
+    /// Defaults: 5 warmup iterations, 30 timed samples. A positive
+    /// `SPARKER_BENCH_SAMPLES` overrides the sample count, including one a
+    /// bench sets with [`Bench::samples`], for quicker smoke runs.
     pub fn new(group: &str) -> Self {
-        let samples = std::env::var("SPARKER_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(30);
-        Self { group: group.to_string(), warmup: 5, samples, results: Vec::new() }
+        let env = std::env::var("SPARKER_BENCH_SAMPLES").ok();
+        Self::with_forced_samples(group, parse_samples(env.as_deref()))
+    }
+
+    fn with_forced_samples(group: &str, forced_samples: Option<u32>) -> Self {
+        Self {
+            group: group.to_string(),
+            warmup: 5,
+            samples: 30,
+            forced_samples,
+            results: Vec::new(),
+        }
     }
 
     pub fn warmup(mut self, iters: u32) -> Self {
@@ -89,6 +104,7 @@ impl Bench {
         self
     }
 
+    /// The bench's own sample count; `SPARKER_BENCH_SAMPLES` still wins.
     pub fn samples(mut self, n: u32) -> Self {
         self.samples = n.max(1);
         self
@@ -100,7 +116,7 @@ impl Bench {
         for _ in 0..self.warmup {
             black_box(f());
         }
-        let secs: Vec<f64> = (0..self.samples)
+        let secs: Vec<f64> = (0..self.forced_samples.unwrap_or(self.samples))
             .map(|_| {
                 let t = Instant::now();
                 black_box(f());
@@ -188,7 +204,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_records() {
-        let mut b = Bench::new("test_group").warmup(1).samples(3);
+        let mut b = Bench::with_forced_samples("test_group", None).warmup(1).samples(3);
         let mut calls = 0u32;
         b.run("noop", None, || calls += 1);
         assert_eq!(calls, 4); // 1 warmup + 3 samples
@@ -198,11 +214,29 @@ mod tests {
 
     #[test]
     fn json_shape_is_stable() {
-        let mut b = Bench::new("g").warmup(0).samples(2);
+        let mut b = Bench::with_forced_samples("g", None).warmup(0).samples(2);
         b.run("op", Some(64), || ());
         let j = b.to_json();
         assert!(j.starts_with("{\"group\":\"g\",\"results\":[{\"name\":\"op\""));
         assert!(j.contains("\"bytes\":64"));
         assert!(j.ends_with("}]}"));
+    }
+
+    #[test]
+    fn env_sample_count_beats_the_bench_default() {
+        let mut b = Bench::with_forced_samples("g", Some(2)).warmup(0).samples(50);
+        let mut calls = 0u32;
+        b.run("op", None, || calls += 1);
+        assert_eq!(calls, 2);
+        assert_eq!(b.results[0].samples, 2);
+    }
+
+    #[test]
+    fn sample_env_value_parses_positive_counts_only() {
+        assert_eq!(parse_samples(Some("1")), Some(1));
+        assert_eq!(parse_samples(Some(" 12 ")), Some(12));
+        assert_eq!(parse_samples(Some("0")), None);
+        assert_eq!(parse_samples(Some("many")), None);
+        assert_eq!(parse_samples(None), None);
     }
 }

@@ -122,6 +122,32 @@ impl Default for SplitAggOpts {
     }
 }
 
+/// The paper's parallel split ("multiple threads can split a single
+/// aggregator in parallel"): `parallelism` threads each produce a contiguous
+/// chunk of the `total` segment indices, concatenated in index order.
+pub(crate) fn parallel_split<U, V>(
+    u: &U,
+    split: &(impl Fn(&U, usize, usize) -> V + Sync),
+    total: usize,
+    parallelism: usize,
+) -> Vec<V>
+where
+    U: Sync,
+    V: Send,
+{
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..parallelism)
+            .map(|t| {
+                s.spawn(move || {
+                    let (lo, hi) = slice_bounds(total, t, parallelism);
+                    (lo..hi).map(|g| split(u, g, total)).collect::<Vec<V>>()
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("split worker panicked")).collect()
+    })
+}
+
 /// Runs split aggregation; returns the concatenated segment value `V` and
 /// the compute/reduce decomposition.
 ///
@@ -301,35 +327,13 @@ where
             move |_idx, attempt, ctx| {
                 // Peek, don't take: a gang resubmission re-reads the same
                 // input aggregator, and the tree fallback needs it intact
-                // if the gang exhausts its attempts.
-                let u: U = ctx
+                // if the gang exhausts its attempts. Splitting inside the
+                // borrow avoids copying the whole aggregator.
+                let split_all = |u: &U| parallel_split(u, &*split, total_segments, parallelism);
+                let segments: Vec<V> = ctx
                     .objects
-                    .with(ObjectId { op, slot: ctx.executor.0 as u64 }, |u: &U| u.clone())
-                    .unwrap_or_else(|| zero.clone());
-
-                // Parallel split: P threads each produce a contiguous chunk
-                // of the segment index space (paper: "multiple threads can
-                // split a single aggregator in parallel").
-                let segments: Vec<V> = {
-                    let split = &split;
-                    let u = &u;
-                    let mut chunks: Vec<Vec<V>> = Vec::with_capacity(parallelism);
-                    std::thread::scope(|s| {
-                        let handles: Vec<_> = (0..parallelism)
-                            .map(|t| {
-                                s.spawn(move || {
-                                    let (lo, hi) = slice_bounds(total_segments, t, parallelism);
-                                    (lo..hi).map(|g| split(u, g, total_segments)).collect::<Vec<V>>()
-                                })
-                            })
-                            .collect();
-                        for h in handles {
-                            chunks.push(h.join().expect("split worker panicked"));
-                        }
-                    });
-                    chunks.into_iter().flatten().collect()
-                };
-                drop(u);
+                    .with(ObjectId { op, slot: ctx.executor.0 as u64 }, split_all)
+                    .unwrap_or_else(|| split_all(&zero));
 
                 // Fence frames to this job's epoch namespace: a concurrent
                 // job's ring (different namespace) can never match, whatever
@@ -433,12 +437,13 @@ where
                     &seed_label,
                     &all_execs,
                     move |_idx, _attempt, ctx| {
-                        let u: U = ctx
+                        let split_all = |u: &U| -> Vec<V> {
+                            (0..total_segments).map(|g| split(u, g, total_segments)).collect()
+                        };
+                        let segs: Vec<V> = ctx
                             .objects
-                            .with(ObjectId { op, slot: ctx.executor.0 as u64 }, |u: &U| u.clone())
-                            .unwrap_or_else(|| zero.clone());
-                        let segs: Vec<V> =
-                            (0..total_segments).map(|g| split(&u, g, total_segments)).collect();
+                            .with(ObjectId { op, slot: ctx.executor.0 as u64 }, split_all)
+                            .unwrap_or_else(|| split_all(&zero));
                         ctx.objects.merge_in(
                             ObjectId { op, slot: FALLBACK_SLOT_BASE | ctx.executor.0 as u64 },
                             segs,

@@ -60,7 +60,12 @@ pub fn merge_segments(a: &mut SumSegment, b: SumSegment) {
 
 /// The paper's `concatOp`: segments in index order → full vector.
 pub fn concat_dense(segments: Vec<SumSegment>) -> DenseAgg {
-    F64Array(segments.into_iter().flat_map(|s| s.0).collect())
+    let total = segments.iter().map(|s| s.0.len()).sum();
+    let mut out = Vec::with_capacity(total);
+    for s in segments {
+        out.extend_from_slice(&s.0);
+    }
+    F64Array(out)
 }
 
 // ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@
 //! receivers drop frames whose epoch does not match their own, and the driver
 //! additionally drains the transport between attempts.
 //!
-//! The header also carries an FNV-1a checksum over the op, attempt, and
-//! payload bytes. An in-process mesh cannot flip bits on its own, but the
-//! fault injector ([`crate::fault`]) can — and a corrupted `f64` would decode
-//! "successfully" into a wrong answer. The checksum turns every byte mutation
-//! into a typed [`NetError::Codec`] instead.
+//! The header also carries a 64-bit frame checksum ([`crate::hash`]) over
+//! the op, attempt, and payload bytes. An in-process mesh cannot flip bits
+//! on its own, but the fault injector ([`crate::fault`]) can — and a
+//! corrupted `f64` would decode "successfully" into a wrong answer. The
+//! checksum turns any single-byte mutation into a typed [`NetError::Codec`]
+//! instead.
 
 use crate::bytebuf::ByteBuf;
 use crate::codec::{Decoder, Encoder};
@@ -56,10 +57,10 @@ pub fn split_namespaced(fenced: u32) -> (u32, u32) {
     (fenced >> ATTEMPT_BITS, fenced & ATTEMPT_MASK)
 }
 
-/// FNV-1a over the epoch fields and payload, the integrity check for
-/// collective frames (see [`crate::hash`] for the hash's constants).
+/// The frame hash of the epoch fields and payload, the integrity check for
+/// collective frames (see [`crate::hash`] for the algorithm).
 fn checksum(op: u64, attempt: u32, payload: &[u8]) -> u64 {
-    let mut h = crate::hash::Fnv1a::new();
+    let mut h = crate::hash::FrameHash::new();
     h.update(&op.to_le_bytes());
     h.update(&attempt.to_le_bytes());
     h.update(payload);
@@ -153,6 +154,24 @@ mod tests {
                 matches!(got, Err(NetError::Codec(_))),
                 "flip at byte {i} was not caught: {got:?}"
             );
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_is_rejected() {
+        // Payload lengths around the frame hash's 32-byte block boundaries.
+        for len in [0usize, 1, 31, 32, 33, 95, 100, 4099] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let frame = wrap(11, 4, &ByteBuf::from(payload)).to_vec();
+            for bit in 0..frame.len() * 8 {
+                let mut bytes = frame.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                let got = unwrap(ByteBuf::from(bytes));
+                assert!(
+                    matches!(got, Err(NetError::Codec(_))),
+                    "payload {len}: flip of bit {bit} was not caught: {got:?}"
+                );
+            }
         }
     }
 

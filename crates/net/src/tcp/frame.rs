@@ -13,7 +13,7 @@
 //! offset  size  field
 //! 0       4     magic     0x5350_4B54 ("SPKT")
 //! 4       4     len       bytes after this field = 16 + payload length
-//! 8       8     checksum  FNV-1a 64 over bytes [16, 8+len)  (from|channel|payload)
+//! 8       8     checksum  frame hash over bytes [16, 8+len)  (from|channel|payload)
 //! 16      4     from      sender rank
 //! 20      4     channel   logical channel index
 //! 24      len-16      payload
@@ -59,7 +59,7 @@ use std::io::{ErrorKind, Read, Write};
 
 use crate::bytebuf::ByteBuf;
 use crate::error::{NetError, NetResult};
-use crate::hash::Fnv1a;
+use crate::hash::{frame_hash, FrameHash};
 use crate::pool::FramePool;
 
 /// Wire-frame magic: `"SPKT"` as a little-endian u32 (bytes `54 4B 50 53`).
@@ -106,7 +106,7 @@ pub struct DecodedFrame {
 
 /// Checksum over the checksummed region: `from | channel | payload`.
 fn body_checksum(from: u32, channel: u32, payload: &[u8]) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = FrameHash::new();
     h.update(&from.to_le_bytes());
     h.update(&channel.to_le_bytes());
     h.update(payload);
@@ -175,7 +175,7 @@ fn parse_prefix(prefix: &[u8]) -> NetResult<usize> {
 fn parse_body(body: &[u8], pool: &FramePool) -> NetResult<DecodedFrame> {
     debug_assert!(body.len() >= BODY_FIXED);
     let sum = read_u64(&body[0..8]);
-    let computed = crate::hash::fnv1a(&body[8..]);
+    let computed = frame_hash(&body[8..]);
     if sum != computed {
         return Err(NetError::Codec(format!(
             "tcp frame checksum mismatch: header {sum:#018x}, computed {computed:#018x}"
@@ -325,7 +325,7 @@ mod tests {
         let expect: &[u8] = &[
             0x54, 0x4B, 0x50, 0x53, // magic "SPKT" (LE 0x53504B54)
             0x14, 0x00, 0x00, 0x00, // len = 20 (16 fixed + 4 payload)
-            0x2C, 0xC1, 0xF2, 0xA3, 0x5A, 0x25, 0xE5, 0x8F, // FNV-1a = 0x8FE5255AA3F2C12C
+            0xFD, 0xC6, 0x10, 0x3C, 0xA9, 0xDB, 0xCB, 0x0E, // frame hash = 0x0ECBDBA93C10C6FD
             0x02, 0x00, 0x00, 0x00, // from = 2
             0x01, 0x00, 0x00, 0x00, // channel = 1
             0x72, 0x69, 0x6E, 0x67, // "ring"
@@ -395,6 +395,35 @@ mod tests {
             );
             if cut > 0 {
                 assert!(r.has_partial());
+            }
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_is_rejected() {
+        let pool = pool();
+        for len in [0usize, 1, 31, 32, 33, 95, 100, 4099] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+            let frame = encode_pooled(&pool, 5, 3, &payload).unwrap().to_vec();
+            for bit in 0..frame.len() * 8 {
+                let mut bytes = frame.clone();
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                let mut r = FrameReader::new();
+                r.extend(&bytes);
+                let mut got = r.next_frame(&pool);
+                if let Ok(None) = got {
+                    // Only a flip that grows `len` can look incomplete: the
+                    // reader waits for the longer frame it now claims. Once
+                    // those bytes arrive, the checksum rejects it.
+                    let claimed = PREFIX_LEN + read_u32(&bytes[4..8]) as usize;
+                    assert!((4..8).contains(&(bit / 8)) && claimed > bytes.len(), "bit {bit}");
+                    r.extend(&vec![0; claimed - bytes.len()]);
+                    got = r.next_frame(&pool);
+                }
+                assert!(
+                    matches!(got, Err(NetError::Codec(_))),
+                    "payload {len}: flip of bit {bit} was not caught: {got:?}"
+                );
             }
         }
     }

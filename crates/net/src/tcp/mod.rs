@@ -765,7 +765,7 @@ fn backoff_jitter(me: usize, peer: usize, round: u32, base: Duration) -> Duratio
     bytes[..8].copy_from_slice(&(me as u64).to_le_bytes());
     bytes[8..16].copy_from_slice(&(peer as u64).to_le_bytes());
     bytes[16..].copy_from_slice(&round.to_le_bytes());
-    let h = crate::hash::fnv1a(&bytes);
+    let h = crate::hash::frame_hash(&bytes);
     let base_ns = base.as_nanos().max(1) as u64;
     Duration::from_nanos(h % base_ns)
 }

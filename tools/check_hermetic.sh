@@ -56,7 +56,7 @@ cargo build --offline --benches
 # compile it; build it here so a public-API change cannot break it unseen.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-# Deadline-bounded smoke runner for steps 4-12: all of them are "run this
+# Deadline-bounded smoke runner for steps 4-13: all of them are "run this
 # cargo invocation offline, fail the gate on non-zero or on a hang".
 smoke() {
   local sub="$1"
@@ -130,5 +130,10 @@ smoke run --release -p sparker-bench --bin bench_collectives -- --smoke
 #     by the full run). Deterministic and DES-only, so it adds seconds, not
 #     minutes; a timeout means the sweep or a bound check regressed.
 smoke run --release -p sparker-repro --bin paper_eval -- --smoke
+
+# 13. Micro-bench smoke — one sample of every codec row, so the frame hash
+#     and the epoch wrap/unwrap rows execute, not just compile. The bench
+#     writes crates/bench/results/micro/codec.json (gitignored).
+SPARKER_BENCH_SAMPLES=1 smoke bench -p sparker-bench --bench codec
 
 echo "hermetic check passed: built and tested fully offline, path-only deps"
